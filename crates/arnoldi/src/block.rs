@@ -3,7 +3,7 @@
 //! Runs the single-shift iteration for `k` nearby shifts *in lockstep*:
 //! each lane advances its own restarted, deflated Arnoldi process
 //! (byte-for-byte the serial algorithm, via
-//! [`crate::single_shift::ShiftCore`]'s incremental stages), but the
+//! `single_shift::ShiftCore`'s incremental stages), but the
 //! operator applications of all lanes that are mid-build are gathered into
 //! one batched [`BlockShiftOp::apply_block`] call per Krylov step. With
 //! the Sherman–Morrison–Woodbury operator this sweeps the state-space
@@ -23,7 +23,7 @@
 use crate::error::ArnoldiError;
 use crate::options::SingleShiftOptions;
 use crate::recycle::RecycledPair;
-use crate::single_shift::{ArnoldiWorkspace, ShiftCore, SingleShiftOutcome};
+use crate::single_shift::{ArnoldiWorkspace, RitzScratch, ShiftCore, SingleShiftOutcome};
 use pheig_hamiltonian::MultiShiftInvertOp;
 use pheig_linalg::C64;
 
@@ -86,6 +86,7 @@ fn advance_lane(
     lane: usize,
     core: &mut ShiftCore<'_>,
     op: &dyn BlockShiftOp,
+    ritz: &mut RitzScratch,
     should_cancel: &mut dyn FnMut(usize) -> bool,
 ) -> Result<bool, ArnoldiError> {
     loop {
@@ -101,7 +102,7 @@ fn advance_lane(
         // Degenerate round (start inside the locked span): close it and
         // let `building()`/the verdict decide what happens next.
         let map = |mu: C64| op.lane_map(lane, mu);
-        if !core.finish_round(&map)? {
+        if !core.finish_round(&map, ritz)? {
             return Ok(false);
         }
     }
@@ -113,18 +114,21 @@ fn finish_lane(
     lane: usize,
     core: &mut ShiftCore<'_>,
     op: &dyn BlockShiftOp,
+    ritz: &mut RitzScratch,
     on_complete: &mut dyn FnMut(usize, Result<SingleShiftOutcome, ArnoldiError>),
 ) {
     let mut apply = |x: &[C64], y: &mut [C64]| op.apply_lane(lane, x, y);
     let map = |mu: C64| op.lane_map(lane, mu);
-    let res = core.finish(&mut apply, &map);
+    let res = core.finish(&mut apply, &map, ritz);
     on_complete(lane, res);
 }
 
 /// Runs the single-shift iteration for every lane of `op`, batching the
 /// Krylov-step operator applications of concurrently-building lanes.
 ///
-/// `specs[l]` configures lane `l`; `workspaces[l]` provides its scratch.
+/// `specs[l]` configures lane `l`; `workspaces[l]` provides its scratch
+/// (the projected solve, transient per round, uses `workspaces[0]`'s for
+/// every lane).
 /// `should_cancel(l)` is polled at lane round boundaries — returning
 /// `true` aborts that lane with [`ArnoldiError::Cancelled`].
 /// `on_complete(l, result)` fires exactly once per lane, as soon as that
@@ -145,21 +149,23 @@ pub fn block_shift_sweep(
     assert_eq!(k, op.lanes(), "one lane spec per operator lane required");
     assert!(workspaces.len() >= k, "one workspace per lane required");
     let n = op.dim();
-    let mut cores: Vec<ShiftCore<'_>> = workspaces
-        .iter_mut()
-        .take(k)
-        .enumerate()
-        .map(|(l, ws)| {
-            ShiftCore::new(
-                n,
-                op.theta(l),
-                specs[l].rho0,
-                specs[l].scale,
-                &specs[l].opts,
-                ws,
-            )
-        })
-        .collect();
+    let mut shared_ritz = None;
+    let mut cores: Vec<ShiftCore<'_>> = Vec::with_capacity(k);
+    for (l, ws) in workspaces.iter_mut().take(k).enumerate() {
+        let (lane, ritz) = ws.split();
+        shared_ritz.get_or_insert(ritz);
+        cores.push(ShiftCore::new(
+            n,
+            op.theta(l),
+            specs[l].rho0,
+            specs[l].scale,
+            &specs[l].opts,
+            lane,
+        ));
+    }
+    let Some(ritz) = shared_ritz else {
+        return; // no lanes
+    };
     let mut building: Vec<bool> = vec![false; k];
     // Warm validation + first build per lane (solo applies: these stages
     // are a handful of matvecs each; only the Krylov builds batch).
@@ -170,9 +176,9 @@ pub fn block_shift_sweep(
             let map = |mu: C64| op.lane_map(l, mu);
             core.warm_init(&specs[l].warm, &mut apply, &map);
         }
-        match advance_lane(l, core, op, should_cancel) {
+        match advance_lane(l, core, op, ritz, should_cancel) {
             Ok(true) => building[l] = true,
-            Ok(false) => finish_lane(l, core, op, on_complete),
+            Ok(false) => finish_lane(l, core, op, ritz, on_complete),
             Err(e) => on_complete(l, Err(e)),
         }
     }
@@ -205,15 +211,15 @@ pub fn block_shift_sweep(
             // Round complete: Ritz processing, then either open the next
             // round or finish the lane.
             let map = |mu: C64| op.lane_map(l, mu);
-            let verdict = cores[l].finish_round(&map);
+            let verdict = cores[l].finish_round(&map, ritz);
             building[l] = false;
             match verdict {
-                Ok(true) => match advance_lane(l, &mut cores[l], op, should_cancel) {
+                Ok(true) => match advance_lane(l, &mut cores[l], op, ritz, should_cancel) {
                     Ok(true) => building[l] = true,
-                    Ok(false) => finish_lane(l, &mut cores[l], op, on_complete),
+                    Ok(false) => finish_lane(l, &mut cores[l], op, ritz, on_complete),
                     Err(e) => on_complete(l, Err(e)),
                 },
-                Ok(false) => finish_lane(l, &mut cores[l], op, on_complete),
+                Ok(false) => finish_lane(l, &mut cores[l], op, ritz, on_complete),
                 Err(e) => on_complete(l, Err(e)),
             }
         }

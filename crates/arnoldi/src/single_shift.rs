@@ -5,16 +5,18 @@ use crate::error::ArnoldiError;
 use crate::krylov::{arnoldi_into, ArnoldiFactorization};
 use crate::options::SingleShiftOptions;
 use crate::recycle::RecycledPair;
-use crate::ritz::ritz_pairs;
+use crate::ritz::{restart_vector_into, ritz_pairs, RitzPair};
 use pheig_hamiltonian::{CLinearOp, ShiftInvertOp};
+use pheig_linalg::schur::HessenbergSchur;
 use pheig_linalg::vector::{axpy, dot, normalize};
-use pheig_linalg::C64;
+use pheig_linalg::{Matrix, C64};
 use pheig_model::StateSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Reusable scratch for the single-shift iteration: the Arnoldi
-/// factorization storage plus the restart vectors.
+/// factorization storage and restart vectors of one shift, plus the
+/// projected Schur solve.
 ///
 /// One workspace serves one worker; passing the same workspace to
 /// successive [`single_shift_on_op_with`] / [`single_shift_iteration_with`]
@@ -22,16 +24,42 @@ use rand::{Rng, SeedableRng};
 /// of shifts per sweep, so per-shift allocation churn is measurable).
 #[derive(Debug, Default)]
 pub struct ArnoldiWorkspace {
+    lane: LaneScratch,
+    ritz: RitzScratch,
+}
+
+/// The storage one shift keeps across its rounds.
+#[derive(Debug, Default)]
+pub(crate) struct LaneScratch {
     fact: ArnoldiFactorization,
     start: Vec<C64>,
     comb: Vec<C64>,
     lifted: Vec<C64>,
 }
 
+/// The projected solve's storage. Its contents live for one
+/// [`ShiftCore::finish_round`] or [`ShiftCore::finish`] call only, so the
+/// lanes of a block solve share one.
+#[derive(Debug, Default)]
+pub(crate) struct RitzScratch {
+    schur: HessenbergSchur,
+    pairs: Vec<RitzPair>,
+    /// One Ritz vector `y` and the restart combination, in the projected
+    /// space.
+    y: Vec<C64>,
+    ycomb: Vec<C64>,
+}
+
 impl ArnoldiWorkspace {
     /// An empty workspace; storage grows on first use and is then reused.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Splits the workspace into a shift's own storage and the projected
+    /// solve's.
+    pub(crate) fn split(&mut self) -> (&mut LaneScratch, &mut RitzScratch) {
+        (&mut self.lane, &mut self.ritz)
     }
 }
 
@@ -125,16 +153,18 @@ pub fn single_shift_on_op_with(
     opts: &SingleShiftOptions,
     ws: &mut ArnoldiWorkspace,
 ) -> Result<SingleShiftOutcome, ArnoldiError> {
-    let mut core = ShiftCore::new(op.dim(), theta, rho0, scale, opts, ws);
+    let (lane, ritz) = ws.split();
+    let mut core = ShiftCore::new(op.dim(), theta, rho0, scale, opts, lane);
     let mut apply = |x: &[C64], y: &mut [C64]| op.apply_into(x, y);
-    core.run_to_completion(&mut apply, map)
+    core.run_to_completion(&mut apply, map, ritz)
 }
 
 /// The single-shift iteration decomposed into resumable stages.
 ///
 /// One `ShiftCore` owns all the per-shift state (locked eigenpairs, RNG,
 /// restart bookkeeping, statistics) while borrowing its heavy scratch from
-/// an [`ArnoldiWorkspace`]. The *operator applications* are externalized:
+/// an [`ArnoldiWorkspace`]; the projected-solve scratch is passed to the
+/// stages that use it. The *operator applications* are externalized:
 /// every stage either takes an `apply` closure or exposes the
 /// [`Self::io_mut`]/[`Self::absorb_step`] boundary of the incremental
 /// Arnoldi build. This lets a block driver interleave the Krylov steps of
@@ -154,7 +184,7 @@ pub fn single_shift_on_op_with(
 /// exactly — same RNG draws, same arithmetic, same results (pinned by
 /// `deterministic_given_seed`).
 pub(crate) struct ShiftCore<'a> {
-    ws: &'a mut ArnoldiWorkspace,
+    ws: &'a mut LaneScratch,
     opts: &'a SingleShiftOptions,
     n: usize,
     theta: C64,
@@ -215,7 +245,7 @@ impl<'a> ShiftCore<'a> {
         rho0: f64,
         scale: f64,
         opts: &'a SingleShiftOptions,
-        ws: &'a mut ArnoldiWorkspace,
+        ws: &'a mut LaneScratch,
     ) -> Self {
         let tol_abs = (opts.tol * scale.max(f64::MIN_POSITIVE)).max(1e-300);
         let rng = StdRng::seed_from_u64(opts.seed ^ 0xA5A5_5A5A_DEAD_BEEF);
@@ -269,7 +299,7 @@ impl<'a> ShiftCore<'a> {
         for pair in warm.iter().take(cap) {
             assert_eq!(pair.vector.len(), self.n, "recycled vector length mismatch");
             self.warm_candidates += 1;
-            let ArnoldiWorkspace { comb, lifted, .. } = &mut *self.ws;
+            let LaneScratch { comb, lifted, .. } = &mut *self.ws;
             comb.copy_from_slice(&pair.vector);
             // Validate the candidate *raw*: eigenvectors of a non-normal
             // operator are not mutually orthogonal, so projecting out the
@@ -377,7 +407,7 @@ impl<'a> ShiftCore<'a> {
             }
         }
         self.have_next_start = false;
-        let ArnoldiWorkspace { fact, start, .. } = &mut *self.ws;
+        let LaneScratch { fact, start, .. } = &mut *self.ws;
         fact.begin_build(self.n, start, &self.locked_vecs, steps)
     }
 
@@ -408,7 +438,11 @@ impl<'a> ShiftCore<'a> {
     /// records near-estimates, and builds the explicit-restart vector.
     /// Returns `Ok(false)` when the shift should stop building (spectrum
     /// exhausted or stalled).
-    pub(crate) fn finish_round(&mut self, map: &dyn Fn(C64) -> C64) -> Result<bool, ArnoldiError> {
+    pub(crate) fn finish_round(
+        &mut self,
+        map: &dyn Fn(C64) -> C64,
+        ritz: &mut RitzScratch,
+    ) -> Result<bool, ArnoldiError> {
         self.matvecs += self.ws.fact.steps;
         self.restarts += 1;
         self.opts.control.charge_matvecs(self.ws.fact.steps);
@@ -417,7 +451,14 @@ impl<'a> ShiftCore<'a> {
             // Fully deflated: the reachable spectrum is exhausted.
             return Ok(false);
         }
-        let pairs = ritz_pairs(&self.ws.fact)?;
+        let LaneScratch { fact, start, .. } = &mut *self.ws;
+        let RitzScratch {
+            schur,
+            pairs,
+            y,
+            ycomb,
+        } = ritz;
+        ritz_pairs(fact, schur, pairs)?;
         // Locked count at build time: `hl` columns decompose against
         // exactly this prefix of the deflation set (vectors locked below
         // grow the set past it).
@@ -425,7 +466,10 @@ impl<'a> ShiftCore<'a> {
         let mut newly = 0usize;
         self.near_estimates.clear();
         self.ext_cap = f64::INFINITY;
-        for pair in &pairs {
+        let m = fact.steps;
+        y.clear();
+        y.resize(m, C64::zero());
+        for pair in pairs.iter() {
             let lambda = map(pair.mu);
             if !lambda.re.is_finite() || !lambda.im.is_finite() {
                 // Non-finite Ritz value (a corrupted apply or a broken
@@ -450,16 +494,15 @@ impl<'a> ShiftCore<'a> {
                     .locked_lambdas
                     .iter()
                     .any(|&l| (l - lambda).abs() <= 100.0 * self.tol_abs + 1e-10 * dist);
-                // Lift `V y` (tracking its norm) and reconstruct the
-                // operator image from the build identity
-                // `Op V = V H + beta v_m e_m^T + L HL` — the image then
-                // rides through the deflation update below, so the
-                // Rayleigh-Ritz refinement never re-applies the operator
-                // to this vector.
-                let fact = &self.ws.fact;
-                let m = fact.steps;
+                // Form this pair's projected vector, lift `V y` (tracking
+                // its norm) and reconstruct the operator image from the
+                // build identity `Op V = V H + beta v_m e_m^T + L HL` — the
+                // image then rides through the deflation update below, so
+                // the Rayleigh-Ritz refinement never re-applies the
+                // operator to this vector.
+                schur.vector_into(pair.index, y);
                 let mut v = vec![C64::zero(); self.n];
-                for (j, &yj) in pair.y.iter().enumerate() {
+                for (j, &yj) in y.iter().enumerate() {
                     axpy(yj, &fact.basis[j], &mut v);
                 }
                 let ny = normalize(&mut v);
@@ -469,17 +512,17 @@ impl<'a> ShiftCore<'a> {
                 let mut img = vec![C64::zero(); self.n];
                 for i in 0..m {
                     let mut hy = C64::zero();
-                    for (j, &yj) in pair.y.iter().enumerate() {
+                    for (j, &yj) in y.iter().enumerate() {
                         hy += fact.h[(i, j)] * yj;
                     }
                     axpy(hy, &fact.basis[i], &mut img);
                 }
                 if !fact.breakdown && fact.basis.len() > m {
-                    axpy(fact.h[(m, m - 1)] * pair.y[m - 1], &fact.basis[m], &mut img);
+                    axpy(fact.h[(m, m - 1)] * y[m - 1], &fact.basis[m], &mut img);
                 }
                 for (q, qv) in self.locked_vecs[..nl_build].iter().enumerate() {
                     let mut hy = C64::zero();
-                    for (j, &yj) in pair.y.iter().enumerate() {
+                    for (j, &yj) in y.iter().enumerate() {
                         hy += fact.hl[(q, j)] * yj;
                     }
                     axpy(hy, qv, &mut img);
@@ -523,28 +566,13 @@ impl<'a> ShiftCore<'a> {
             }
         }
         // Build the explicit-restart vector from the leading unconverged
-        // Ritz directions (nearest to the shift first).
-        let ArnoldiWorkspace {
-            fact,
-            start,
-            comb,
-            lifted,
-        } = &mut *self.ws;
-        comb.fill(C64::zero());
-        let mut used = 0usize;
-        for pair in &pairs {
-            if used >= self.opts.n_eigs {
-                break;
-            }
-            if pair.mapped_error_estimate() <= self.tol_abs {
-                continue; // already locked this round
-            }
-            fact.lift_into(&pair.y, lifted);
-            axpy(C64::from_real(1.0 / (1.0 + used as f64)), lifted, comb);
-            used += 1;
-        }
-        if used > 0 && normalize(comb) > 0.0 {
-            start.copy_from_slice(comb);
+        // Ritz directions (nearest to the shift first), lifted in one pass.
+        let tol_abs = self.tol_abs;
+        let unconverged = pairs
+            .iter()
+            .filter(|p| p.mapped_error_estimate() > tol_abs)
+            .take(self.opts.n_eigs);
+        if restart_vector_into(fact, schur, unconverged, y, ycomb, start) {
             self.have_next_start = true;
         }
         if self.probing {
@@ -571,6 +599,7 @@ impl<'a> ShiftCore<'a> {
         &mut self,
         apply: &mut dyn FnMut(&[C64], &mut [C64]),
         map: &dyn Fn(C64) -> C64,
+        ritz: &mut RitzScratch,
     ) -> Result<SingleShiftOutcome, ArnoldiError> {
         while self.building() {
             if self.begin_round() {
@@ -583,11 +612,11 @@ impl<'a> ShiftCore<'a> {
                     }
                 }
             }
-            if !self.finish_round(map)? {
+            if !self.finish_round(map, ritz)? {
                 break;
             }
         }
-        self.finish(apply, map)
+        self.finish(apply, map, ritz)
     }
 
     /// Rayleigh–Ritz refinement on the locked subspace plus the radius
@@ -596,6 +625,7 @@ impl<'a> ShiftCore<'a> {
         &mut self,
         apply: &mut dyn FnMut(&[C64], &mut [C64]),
         map: &dyn Fn(C64) -> C64,
+        ritz: &mut RitzScratch,
     ) -> Result<SingleShiftOutcome, ArnoldiError> {
         let (theta, rho0, scale, tol_abs, n) =
             (self.theta, self.rho0, self.scale, self.tol_abs, self.n);
@@ -625,12 +655,15 @@ impl<'a> ShiftCore<'a> {
             }
         }
         let locked_vecs = &self.locked_vecs;
-        let t = pheig_linalg::Matrix::from_fn(mq, mq, |i, j| dot(&locked_vecs[i], &opq[j]));
-        let (mus, yv) = pheig_linalg::eig::eig_with_vectors(&t)?;
+        let t = Matrix::from_fn(mq, mq, |i, j| dot(&locked_vecs[i], &opq[j]));
+        let schur = &mut ritz.schur;
+        schur.compute_dense(&t)?;
         let dedupe_tol = 100.0 * tol_abs;
         let mut refined: Vec<ConvergedEigenpair> = Vec::new();
         let mut doubtful_dists: Vec<f64> = Vec::new();
-        for (k, &mu) in mus.iter().enumerate() {
+        let mut yk = vec![C64::zero(); mq];
+        for k in 0..mq {
+            let mu = schur.values()[k];
             let lambda = map(mu);
             if !lambda.re.is_finite() || !lambda.im.is_finite() {
                 // Non-finite refined value: numerical junk from a polluted
@@ -639,11 +672,12 @@ impl<'a> ShiftCore<'a> {
                 continue;
             }
             // x = Q y_k (unit norm since Q is orthonormal and y_k is unit).
+            schur.vector_into(k, &mut yk);
             let mut x = vec![C64::zero(); n];
             let mut z = vec![C64::zero(); n];
             for j in 0..mq {
-                axpy(yv[(j, k)], &locked_vecs[j], &mut x);
-                axpy(yv[(j, k)], &opq[j], &mut z);
+                axpy(yk[j], &locked_vecs[j], &mut x);
+                axpy(yk[j], &opq[j], &mut z);
             }
             normalize(&mut x);
             let mut r2 = 0.0f64;
@@ -681,7 +715,7 @@ impl<'a> ShiftCore<'a> {
 
         // ---- Radius certification (paper Sec. III bullet 3) ----------------
         let dist = |e: &ConvergedEigenpair| (e.lambda - theta).abs();
-        refined.sort_by(|a, b| dist(a).partial_cmp(&dist(b)).unwrap());
+        refined.sort_by(|a, b| dist(a).total_cmp(&dist(b)));
         // Distances within `gap_tol` of each other form one "shell" (mirror
         // eigenvalues sit at *exactly* equal distance up to round-off); the
         // certified radius must never cut through a shell.
@@ -779,33 +813,9 @@ impl<'a> ShiftCore<'a> {
                     d_ext = d_ext.max(d);
                 }
             }
-            if std::env::var_os("PHEIG_DEBUG_EXT").is_some() {
-                eprintln!(
-                    "ext theta={:.4} d_m={d_m:.4} d_full={:.4} d_ext={d_ext:.4} cap_next={cap_next:.4} ext_cap={:.4} base={radius:.4} ext={:.4}",
-                    self.theta.im,
-                    dist(&refined[refined.len() - 1]),
-                    self.ext_cap,
-                    bracket(d_ext, cap_ext)
-                );
-            }
             radius = radius.max(bracket(d_ext, cap_ext));
         }
         let radius = radius.max(0.0);
-        if radius <= 0.0 && std::env::var_os("PHEIG_DEBUG_RADIUS").is_some() {
-            eprintln!(
-                "radius collapse at theta={theta}: d_m={d_m:.3e} d_next={d_next:.3e} \
-                 gap_tol={gap_tol:.3e} refined={} near={} doubtful={}",
-                refined.len(),
-                self.near_estimates.len(),
-                doubtful_dists.len()
-            );
-            let mut ds: Vec<f64> = refined.iter().map(dist).collect();
-            ds.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            eprintln!("  refined dists: {:?}", &ds[..ds.len().min(8)]);
-            let mut ne = self.near_estimates.clone();
-            ne.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            eprintln!("  near: {:?}", &ne[..ne.len().min(8)]);
-        }
 
         let all_converged: Vec<C64> = refined.iter().map(|e| e.lambda).collect();
         // `refined` is already sorted by distance; keep the disk's interior
@@ -929,12 +939,13 @@ pub fn single_shift_iteration_recycled_with(
     let op = build_shift_invert_op(ss, omega, scale)?;
     let theta = op.theta();
     let map = |mu: C64| op.to_hamiltonian_eigenvalue(mu);
-    let mut core = ShiftCore::new(op.dim(), theta, rho0, scale, opts, ws);
+    let (lane, ritz) = ws.split();
+    let mut core = ShiftCore::new(op.dim(), theta, rho0, scale, opts, lane);
     let mut apply = |x: &[C64], y: &mut [C64]| op.apply_into(x, y);
     if !warm.is_empty() {
         core.warm_init(warm, &mut apply, &map);
     }
-    core.run_to_completion(&mut apply, &map)
+    core.run_to_completion(&mut apply, &map, ritz)
 }
 
 /// Estimates the largest eigenvalue magnitude of an operator by restarted
@@ -958,17 +969,22 @@ pub fn largest_eigenvalue_magnitude(
     let d = opts.max_subspace.min(n).max(2);
     let restarts = 4usize;
     let mut fact = ArnoldiFactorization::empty();
+    let mut schur = HessenbergSchur::new();
+    let mut pairs = Vec::new();
+    let mut y = Vec::new();
     for _ in 0..restarts {
         arnoldi_into(op, &start, &[], d, &mut fact);
         matvecs += fact.steps;
         if fact.steps == 0 {
             break;
         }
-        let pairs = ritz_pairs(&fact)?;
+        ritz_pairs(&fact, &mut schur, &mut pairs)?;
         if let Some(top) = pairs.first() {
             best = best.max(top.mu.abs());
             // Restart towards the dominant direction.
-            start = fact.lift(&top.y);
+            y.resize(fact.steps, C64::zero());
+            schur.vector_into(top.index, &mut y);
+            fact.lift_into(&y, &mut start);
             if top.residual <= 1e-6 * top.mu.abs().max(1e-300) {
                 return Ok(best);
             }
@@ -1173,6 +1189,34 @@ mod tests {
                 e.lambda
             );
         }
+    }
+
+    #[test]
+    fn non_finite_projection_is_a_typed_error_not_a_panic() {
+        // A corrupted Hessenberg entry must surface from `finish_round` as
+        // a typed error for the degradation ladder, never as a panic in
+        // the Ritz sort.
+        let n = 12;
+        let d: Vec<C64> = (0..n).map(|i| C64::new(1.0 + i as f64, 0.5)).collect();
+        let op = pheig_linalg::Matrix::from_diag(&d);
+        let opts = SingleShiftOptions::new().with_seed(3);
+        let mut ws = ArnoldiWorkspace::new();
+        let (lane, ritz) = ws.split();
+        let mut core = ShiftCore::new(n, C64::zero(), 1.0, 10.0, &opts, lane);
+        assert!(core.begin_round());
+        loop {
+            let (v, w) = core.io_mut();
+            op.apply_into(v, w);
+            if !core.absorb_step() {
+                break;
+            }
+        }
+        core.ws.fact.h[(1, 0)] = C64::new(f64::NAN, 0.0);
+        let map = |mu: C64| mu.recip();
+        assert!(matches!(
+            core.finish_round(&map, ritz),
+            Err(ArnoldiError::Linalg(_))
+        ));
     }
 
     #[test]

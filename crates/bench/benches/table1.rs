@@ -11,7 +11,8 @@
 //!
 //! The "scaled" mode divides n and p by 4 (cost ~ 1/16) so the full table
 //! regenerates in about a minute; shapes (who wins, by what factor) are
-//! preserved. EXPERIMENTS.md records a full-size run.
+//! preserved. `perfbench/results/README.md` records the 1/4-scale table
+//! next to the paper's values.
 
 use pheig_core::simulate::{simulate_parallel, ScheduleMode};
 use pheig_core::solver::{find_imaginary_eigenvalues, SolverOptions};

@@ -1,5 +1,4 @@
-//! Eigenvalues of general dense matrices via the shifted QR algorithm, and
-//! Hessenberg eigenvector extraction by inverse iteration.
+//! Eigenvalues of general dense matrices via the shifted QR algorithm.
 //!
 //! The driver [`eig_complex`] reduces to upper Hessenberg form and runs an
 //! explicit single-shift QR iteration with Wilkinson shifts, Givens
@@ -8,13 +7,18 @@
 //! more robust kernel, which is acceptable because the dense eigensolver only
 //! plays the role of the paper's `O(n^3)` *baseline* and of a validation
 //! oracle for the Arnoldi path.
+//!
+//! Eigenvectors are not computed here: [`eig_with_vectors`] is a
+//! convenience wrapper over the Schur-form solver in [`crate::schur`]
+//! (eigenvectors of the triangular factor by back-substitution), the same
+//! code the Arnoldi path uses. The eigenvalue-only routines above stay an
+//! independent implementation so they can check it.
 
 use crate::complex::C64;
 use crate::error::LinalgError;
 use crate::hessenberg::hessenberg;
-use crate::lu::Lu;
 use crate::matrix::Matrix;
-use crate::vector::{normalize, nrm2};
+use crate::schur::HessenbergSchur;
 
 /// A complex Givens rotation `G = [[c, s], [-conj(s), c]]` with real `c`.
 #[derive(Debug, Clone, Copy)]
@@ -251,76 +255,33 @@ pub fn eig_real(a: &Matrix<f64>) -> Result<Vec<C64>, LinalgError> {
 }
 
 /// Eigen-decomposition (values and right eigenvectors) of a small dense
-/// complex matrix, intended for the projected Hessenberg matrices of the
-/// Arnoldi process (`d <= ~100`).
+/// complex matrix, via [`HessenbergSchur::compute_dense`].
 ///
-/// Eigenvectors are computed by two steps of inverse iteration per
-/// eigenvalue, each against a slightly perturbed shift so the LU
-/// factorization stays nonsingular. Returned vectors have unit norm;
-/// the `k`-th column of the matrix corresponds to `values[k]`.
+/// Returned vectors have unit norm; the `k`-th column of the matrix
+/// corresponds to `values[k]`. Values come in Schur (deflation) order.
 ///
 /// # Errors
 ///
-/// Propagates eigenvalue-iteration failures from [`eig_complex`].
+/// Same as [`HessenbergSchur::compute_dense`].
 pub fn eig_with_vectors(a: &Matrix<C64>) -> Result<(Vec<C64>, Matrix<C64>), LinalgError> {
-    let n = a.rows();
-    let values = eig_complex(a)?;
+    let mut schur = HessenbergSchur::new();
+    schur.compute_dense(a)?;
+    let n = schur.dim();
     let mut vectors = Matrix::zeros(n, n);
-    let scale = a.frobenius_norm().max(f64::MIN_POSITIVE);
-    for (k, &lambda) in values.iter().enumerate() {
-        let mut shift = lambda;
-        let mut perturb = 1e-12 * scale;
-        let lu = loop {
-            let mut m = a.clone();
-            for i in 0..n {
-                m[(i, i)] -= shift;
-            }
-            match Lu::new(m) {
-                Ok(lu) if lu.rcond_estimate() > 1e-300 => break lu,
-                _ => {
-                    shift = lambda + C64::from_real(perturb);
-                    perturb *= 16.0;
-                    if perturb > scale {
-                        // Give up on perturbation growth; accept whatever LU
-                        // we can get by a large kick (degenerate case).
-                        break Lu::new({
-                            let mut m = a.clone();
-                            for i in 0..n {
-                                m[(i, i)] -= lambda + C64::from_real(scale * 1e-6);
-                            }
-                            m
-                        })?;
-                    }
-                }
-            }
-        };
-        // Two inverse-iteration steps from a deterministic start vector.
-        let mut v: Vec<C64> = (0..n)
-            .map(|i| {
-                C64::new(
-                    1.0,
-                    ((i * 2654435761usize.wrapping_add(k)) % 97) as f64 / 97.0,
-                )
-            })
-            .collect();
-        normalize(&mut v);
-        for _ in 0..3 {
-            lu.solve_in_place(&mut v);
-            if nrm2(&v) == 0.0 {
-                break;
-            }
-            normalize(&mut v);
-        }
-        for i in 0..n {
-            vectors[(i, k)] = v[i];
+    let mut y = vec![C64::zero(); n];
+    for k in 0..n {
+        schur.vector_into(k, &mut y);
+        for (i, &yi) in y.iter().enumerate() {
+            vectors[(i, k)] = yi;
         }
     }
-    Ok((values, vectors))
+    Ok((schur.values().to_vec(), vectors))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lu::Lu;
 
     fn sort_eigs(mut e: Vec<C64>) -> Vec<C64> {
         e.sort_by(|x, y| (x.re, x.im).partial_cmp(&(y.re, y.im)).unwrap());

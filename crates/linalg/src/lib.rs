@@ -10,9 +10,11 @@
 //! * [`Lu`] — LU factorization with partial pivoting (solve, determinant);
 //! * [`Qr`] — Householder QR (orthonormal basis, least squares);
 //! * [`hessenberg`] — unitary reduction to upper Hessenberg form;
-//! * [`eig`] — eigenvalues of general matrices via the shifted QR algorithm,
-//!   plus Hessenberg eigenvector extraction by inverse iteration (used for
-//!   Ritz vectors in the Arnoldi solver);
+//! * [`eig`] — eigenvalues of general matrices via the shifted QR algorithm
+//!   (the dense baseline and validation oracle);
+//! * [`schur`] — complex Schur form of small Hessenberg matrices with
+//!   eigenvectors by back-substitution (the Arnoldi solver's projected
+//!   eigenproblem: Ritz values, residuals and Ritz vectors);
 //! * [`hermitian`] — a cyclic Jacobi eigensolver for Hermitian matrices;
 //! * [`svd`] — singular values (via the Hermitian eigensolver), used to
 //!   sample singular-value curves of scattering transfer matrices;
@@ -55,6 +57,7 @@ pub mod lu;
 pub mod matrix;
 pub mod qr;
 pub mod scalar;
+pub mod schur;
 pub mod svd;
 pub mod vector;
 

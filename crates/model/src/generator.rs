@@ -461,7 +461,8 @@ fn scale_residues(mut columns: Vec<ColumnTerms>, gamma: f64) -> Vec<ColumnTerms>
     columns
 }
 
-/// One row of the paper's Table I (reference numbers for EXPERIMENTS.md).
+/// One row of the paper's Table I (the reference columns of the recorded
+/// results in `perfbench/results/README.md`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PaperRow {
     /// Case label, `"Case 1"` ... `"Case 12"`.
